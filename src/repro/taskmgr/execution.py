@@ -222,6 +222,8 @@ class TaskExecution:
         self.active: dict[tuple[InternalId, int], _Pending] = {}
         self.suspending: dict[tuple[InternalId, int], _Pending] = {}
         self.completed: list[_Pending] = []     # in completion order
+        #: failed completions no ``$status`` read has handled yet
+        self._unread_failures: list[_Pending] = []
         #: formals promised by an interpreted step: (scope id, formal name)
         self.promised: set[tuple[int, str]] = set()
         #: declared step IDs → internal IDs, per scope prefix
@@ -378,9 +380,9 @@ class TaskExecution:
         self._drain_until(lambda: last.result is not None)
         assert last.result is not None
         interp.set_var("status", str(last.result.status))
-        for pending in self.completed:
-            if pending.result is not None and pending.result.status != 0:
-                pending.handled_failure = True
+        for pending in self._unread_failures:
+            pending.handled_failure = True
+        self._unread_failures.clear()
 
     # --------------------------------------------------------------- stepping
 
@@ -809,6 +811,7 @@ class TaskExecution:
             pending.state = NodeState.SUCCESS
         else:
             pending.state = NodeState.FAILED
+            self._unread_failures.append(pending)
         pending.record = StepRecord(
             name=pending.spec.name,
             tool=call.tool,

@@ -12,6 +12,34 @@ def _arity(name: str, args: list[str], minimum: int, maximum: int | None = None)
         raise TdlError(f'wrong # args for "{name}"')
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise TdlError(f'expected integer but got "{text}"') from None
+
+
+def _index(text: str, length: int) -> int:
+    """A Tcl index into a sequence of ``length``: ``N``, ``end`` or
+    ``end-N`` (the result may lie outside the sequence)."""
+    if text == "end":
+        return length - 1
+    try:
+        if text.startswith("end-"):
+            return length - 1 - int(text[4:])
+        return int(text)
+    except ValueError:
+        raise TdlError(
+            f'bad index "{text}": must be integer or end?-integer?') from None
+
+
+def _span(seq, first: str, last: str):
+    """``seq[first..last]`` with Tcl's clamping (empty if first > last)."""
+    start = max(_index(first, len(seq)), 0)
+    stop = _index(last, len(seq)) + 1
+    return seq[start:stop] if stop > start else seq[:0]
+
+
 # ---------------------------------------------------------------- variables
 
 
@@ -31,8 +59,9 @@ def _cmd_unset(interp, args):
 
 def _cmd_incr(interp, args):
     _arity("incr", args, 1, 2)
-    amount = int(args[1]) if len(args) == 2 else 1
-    current = int(interp.get_var(args[0])) if interp.has_var(args[0]) else 0
+    amount = _integer(args[1]) if len(args) == 2 else 1
+    current = _integer(interp.get_var(args[0])) \
+        if interp.has_var(args[0]) else 0
     return interp.set_var(args[0], str(current + amount))
 
 
@@ -53,9 +82,9 @@ def _cmd_global(interp, args):
 
 def _cmd_expr(interp, args):
     _arity("expr", args, 1)
-    # Tcl concatenates multiple args with spaces before evaluating.
-    value = _expr.evaluate(" ".join(args))
-    return _expr.format_result(value)
+    # Tcl concatenates multiple args with spaces, then substitutes the
+    # result once more while evaluating it.
+    return _expr.format_result(interp.expr(" ".join(args)))
 
 
 # ------------------------------------------------------------- control flow
@@ -73,7 +102,7 @@ def _cmd_if(interp, args):
             raise TdlError("if: missing body")
         body = args[i]
         i += 1
-        if _expr.truthy(_expr.evaluate(interp.substitute(cond))):
+        if interp.condition(cond):
             return interp.eval(body)
         if i < len(args) and args[i] == "elseif":
             i += 1
@@ -189,7 +218,7 @@ def _cmd_list(interp, args):
 def _cmd_lindex(interp, args):
     _arity("lindex", args, 2, 2)
     elements = parse_list(args[0])
-    index = int(args[1])
+    index = _index(args[1], len(elements))
     if not 0 <= index < len(elements):
         return ""
     return elements[index]
@@ -210,10 +239,7 @@ def _cmd_lappend(interp, args):
 
 def _cmd_lrange(interp, args):
     _arity("lrange", args, 3, 3)
-    elements = parse_list(args[0])
-    first = int(args[1])
-    last = len(elements) - 1 if args[2] == "end" else int(args[2])
-    return format_list(elements[first:last + 1])
+    return format_list(_span(parse_list(args[0]), args[1], args[2]))
 
 
 def _cmd_concat(interp, args):
@@ -255,13 +281,11 @@ def _cmd_string(interp, args):
         return args[1].upper()
     if op == "index":
         _arity("string index", args, 3, 3)
-        idx = int(args[2])
+        idx = _index(args[2], len(args[1]))
         return args[1][idx] if 0 <= idx < len(args[1]) else ""
     if op == "range":
         _arity("string range", args, 4, 4)
-        first = int(args[2])
-        last = len(args[1]) - 1 if args[3] == "end" else int(args[3])
-        return args[1][first:last + 1]
+        return _span(args[1], args[2], args[3])
     if op == "compare":
         _arity("string compare", args, 3, 3)
         a, b = args[1], args[2]
@@ -380,7 +404,8 @@ def _cmd_lsearch(interp, args):
 def _cmd_linsert(interp, args):
     _arity("linsert", args, 3)
     elements = parse_list(args[0])
-    index = len(elements) if args[1] == "end" else int(args[1])
+    # ``end`` inserts after the last element, ``end-1`` before it.
+    index = min(max(_index(args[1], len(elements) + 1), 0), len(elements))
     for offset, element in enumerate(args[2:]):
         elements.insert(index + offset, element)
     return format_list(elements)
@@ -389,8 +414,9 @@ def _cmd_linsert(interp, args):
 def _cmd_lreplace(interp, args):
     _arity("lreplace", args, 3)
     elements = parse_list(args[0])
-    first = int(args[1])
-    last = len(elements) - 1 if args[2] == "end" else int(args[2])
+    first = max(_index(args[1], len(elements)), 0)
+    # A last before first deletes nothing: the new elements go at first.
+    last = max(_index(args[2], len(elements)), first - 1)
     elements[first:last + 1] = list(args[3:])
     return format_list(elements)
 

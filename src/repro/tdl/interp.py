@@ -6,21 +6,27 @@ locals, a command table that extension layers (TDL, the task manager) add to
 optional *read traces*: callbacks fired when a named variable is about to be
 substituted.  The task manager uses a read trace on ``status`` to synchronize
 with the most recently issued design step before its exit code is inspected.
+
+Parsing is cached per interpreter, keyed by source text: a script passed to
+:meth:`Interp.eval` (loop and proc bodies, ``[...]``) is split into commands
+once, each command into compiled words once, and each expression into a
+closure tree once.  Only the parse is cached; every execution still
+substitutes and runs every command.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.errors import TdlBreak, TdlContinue, TdlError, TdlReturn
+from repro.errors import TdlError, TdlReturn
+from repro.tdl import expr as _expr
+from repro.tdl.lists import format_list
 from repro.tdl.tokenizer import (
     BARE,
-    BRACED,
-    QUOTED,
-    find_substitutions,
+    Word,
+    compile_word,
     split_words,
     strip_comments_and_split,
-    unescape,
 )
 
 Command = Callable[["Interp", list[str]], str]
@@ -49,6 +55,10 @@ class Interp:
         self.read_traces: dict[str, Callable[["Interp"], None]] = {}
         self.stdout: list[str] = []
         self._executed = 0
+        #: Compile caches, keyed by source text; they live and die with
+        #: this interpreter.
+        self._scripts: dict[str, tuple[CompiledCommand, ...]] = {}
+        self._exprs: dict[str, object] = {}
         from repro.tdl import builtins as _builtins
 
         _builtins.install(self)
@@ -103,29 +113,44 @@ class Interp:
     def register(self, name: str, func: Command) -> None:
         self.commands[name] = func
 
+    # ---------------------------------------------------------- compilation
+
+    def compiled_script(self, script: str) -> tuple["CompiledCommand", ...]:
+        """The commands of ``script``, split once per distinct text."""
+        commands = self._scripts.get(script)
+        if commands is None:
+            commands = tuple(CompiledCommand(raw)
+                             for raw in strip_comments_and_split(script))
+            _remember(self._scripts, script, commands)
+        return commands
+
+    def compiled_expr(self, text: str):
+        """The expression ``text`` compiled once per distinct text."""
+        compiled = self._exprs.get(text)
+        if compiled is None:
+            compiled = _expr.compile_expr(text)
+            _remember(self._exprs, text, compiled)
+        return compiled
+
     # ---------------------------------------------------------- substitution
 
     def substitute(self, text: str) -> str:
         """Perform ``$var`` and ``[command]`` substitution plus escapes."""
-        spans = find_substitutions(text)
-        if not spans:
-            return unescape(text)
-        out: list[str] = []
-        pos = 0
-        for start, end, kind, payload in spans:
-            out.append(unescape(text[pos:start]))
-            if kind == "var":
-                out.append(self.get_var(payload))
-            else:
-                out.append(self.eval(payload))
-            pos = end
-        out.append(unescape(text[pos:]))
-        return "".join(out)
+        return self.expand_word(compile_word(BARE, text))
 
-    def _expand_word(self, kind: str, text: str) -> str:
-        if kind == BRACED:
-            return text
-        return self.substitute(text)
+    def expand_word(self, word: Word) -> str:
+        """The value of a compiled word (see :func:`compile_word`)."""
+        if word.__class__ is str:
+            return word
+        out: list[str] = []
+        for part in word:
+            if part.__class__ is str:
+                out.append(part)
+            elif part[0] == "var":
+                out.append(self.get_var(part[1]))
+            else:
+                out.append(self.eval(part[1]))
+        return "".join(out)
 
     # ------------------------------------------------------------- evaluation
 
@@ -139,20 +164,34 @@ class Interp:
         the enclosing top-level command's ID, exactly as the thesis specifies.
         """
         result = ""
-        for index, raw in enumerate(strip_comments_and_split(script)):
+        eval_command = self.eval_command
+        for index, command in enumerate(self.compiled_script(script)):
             if top_hook is not None:
-                top_hook(index, raw)
-            result = self.eval_command(raw)
+                top_hook(index, command.raw)
+            result = eval_command(command)
         return result
 
-    def eval_command(self, raw: str) -> str:
+    def eval_command(self, command: "str | CompiledCommand") -> str:
+        """Execute one command, given as raw text or compiled.
+
+        Raw text is compiled for this call only: top-level template commands
+        run once per interpretation, so caching them would only hold memory.
+        """
         self._executed += 1
         if self._executed > self.MAX_COMMANDS:
             raise TdlError("command budget exceeded (runaway script?)")
-        words = [self._expand_word(kind, text) for kind, text in split_words(raw)]
+        if command.__class__ is str:
+            words = _compile_words(command)
+        else:
+            words = command.words
+            if words is None:
+                words = command.words = _compile_words(command.raw)
         if not words:
             return ""
-        name, args = words[0], words[1:]
+        expand = self.expand_word
+        name = expand(words[0])
+        args = [word if word.__class__ is str else expand(word)
+                for word in words[1:]]
         if name in self.procs:
             return self._call_proc(name, args)
         func = self.commands.get(name)
@@ -172,8 +211,6 @@ class Interp:
         consumed = 0
         for i, (pname, default) in enumerate(params):
             if pname == "args" and i == len(params) - 1:
-                from repro.tdl.lists import format_list
-
                 frame.vars["args"] = format_list(args[consumed:])
                 consumed = len(args)
                 break
@@ -200,12 +237,39 @@ class Interp:
     # --------------------------------------------------------------- helpers
 
     def expr(self, text: str):
-        """Substitute then evaluate an expression (the ``expr`` semantics)."""
-        from repro.tdl import expr as _expr
-
-        return _expr.evaluate(self.substitute(text))
+        """Evaluate an expression, substituting its ``$var`` and
+        ``[command]`` operands as it goes (the ``expr`` semantics)."""
+        return _expr.evaluate(self.compiled_expr(text), self)
 
     def condition(self, text: str) -> bool:
-        from repro.tdl import expr as _expr
-
         return _expr.truthy(self.expr(text))
+
+
+class CompiledCommand:
+    """One command of a compiled script.
+
+    Its words are compiled on first execution, so a malformed command raises
+    when (and each time) it is reached, as it did before compilation.
+    """
+
+    __slots__ = ("raw", "words")
+
+    def __init__(self, raw: str):
+        self.raw = raw
+        self.words: tuple[Word, ...] | None = None
+
+
+def _compile_words(raw: str) -> tuple[Word, ...]:
+    return tuple(compile_word(kind, text) for kind, text in split_words(raw))
+
+
+#: Entries per compile cache.  Texts built from values (``eval $script``,
+#: unbraced ``expr $a + $b``) are new on every execution; a full cache is
+#: emptied, which bounds memory and costs the hot texts one recompilation.
+_CACHE_SIZE = 512
+
+
+def _remember(cache: dict, text: str, compiled) -> None:
+    if len(cache) >= _CACHE_SIZE:
+        cache.clear()
+    cache[text] = compiled

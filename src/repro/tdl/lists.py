@@ -6,12 +6,24 @@ braces grouping elements that themselves contain white space.
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import TdlError
-from repro.tdl.tokenizer import BARE, BRACED, QUOTED, split_words, unescape
+from repro.tdl.tokenizer import BRACED, split_words, unescape
+
+#: Characters that make list parsing more than a split on white space.
+_GROUPING = re.compile(r'[{}"\[\]\\]')
+#: Characters that keep an element from being written as it is.
+_SPECIALS = " \t\n;\"$[]{}\\"
+_SPECIAL = re.compile("[" + re.escape(_SPECIALS) + "]")
 
 
 def parse_list(text: str) -> list[str]:
     """Split a Tcl list string into its elements (no substitution)."""
+    if _GROUPING.search(text) is None:
+        return [element for element in
+                text.replace("\t", " ").replace("\n", " ").split(" ")
+                if element]
     elements: list[str] = []
     # Newlines are element separators inside lists.
     for kind, word in split_words(text.replace("\n", " ")):
@@ -36,17 +48,14 @@ def _braces_balanced(text: str) -> bool:
 
 def format_element(element: str) -> str:
     """Quote one element so that parse_list round-trips it."""
-    if element == "":
-        return "{}"
-    specials = " \t\n;\"$[]{}\\"
-    if not any(ch in element for ch in specials):
-        return element
+    if _SPECIAL.search(element) is None:
+        return element if element else "{}"
     if _braces_balanced(element) and not element.endswith("\\"):
         return "{" + element + "}"
     # Unbalanced braces (or trailing backslash): escape every special.
     out = []
     for ch in element:
-        if ch in specials:
+        if ch in _SPECIALS:
             out.append("\\" + ("n" if ch == "\n" else "t" if ch == "\t" else ch))
         else:
             out.append(ch)
@@ -55,7 +64,7 @@ def format_element(element: str) -> str:
 
 def format_list(elements: list[str]) -> str:
     """Join elements into a Tcl list string."""
-    return " ".join(format_element(e) for e in elements)
+    return " ".join(map(format_element, elements))
 
 
 def list_index(text: str, index: int) -> str:

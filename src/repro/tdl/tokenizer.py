@@ -100,6 +100,8 @@ _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", '"': '"',
 
 def unescape(text: str) -> str:
     """Resolve backslash escapes in bare/quoted word text."""
+    if "\\" not in text:
+        return text
     out: list[str] = []
     i = 0
     while i < len(text):
@@ -155,7 +157,7 @@ def split_words(command: str) -> list[tuple[str, str]]:
                 if command[j] == '"':
                     break
                 if command[j] == "[":
-                    j = _skip_bracket(command, j)
+                    j = skip_bracket(command, j)
                     continue
                 j += 1
             if j >= n:
@@ -169,7 +171,7 @@ def split_words(command: str) -> list[tuple[str, str]]:
                     j += 2
                     continue
                 if command[j] == "[":
-                    j = _skip_bracket(command, j)
+                    j = skip_bracket(command, j)
                     continue
                 j += 1
             words.append((BARE, command[i:j]))
@@ -177,7 +179,7 @@ def split_words(command: str) -> list[tuple[str, str]]:
     return words
 
 
-def _skip_bracket(text: str, start: int) -> int:
+def skip_bracket(text: str, start: int) -> int:
     """Index just past the ``]`` matching the ``[`` at ``start``."""
     depth = 0
     i = start
@@ -210,7 +212,7 @@ def find_substitutions(text: str) -> list[tuple[int, int, str, str]]:
             i += 2
             continue
         if ch == "[":
-            end = _skip_bracket(text, i)
+            end = skip_bracket(text, i)
             spans.append((i, end, "cmd", text[i + 1:end - 1]))
             i = end
             continue
@@ -231,3 +233,29 @@ def find_substitutions(text: str) -> list[tuple[int, int, str, str]]:
                 continue
         i += 1
     return spans
+
+
+#: A compiled word is either a ``str`` (its final value: braced text, or
+#: bare/quoted text without substitutions, already unescaped) or a tuple of
+#: parts, each a literal ``str`` or a ``(kind, payload)`` pair with the
+#: ``var``/``cmd`` kinds of :func:`find_substitutions`.
+Word = str | tuple
+
+
+def compile_word(kind: str, text: str) -> Word:
+    """Resolve everything about a word that does not depend on run time."""
+    if kind == BRACED:
+        return text
+    spans = find_substitutions(text)
+    if not spans:
+        return unescape(text)
+    parts: list = []
+    pos = 0
+    for start, end, sub_kind, payload in spans:
+        if start > pos:
+            parts.append(unescape(text[pos:start]))
+        parts.append((sub_kind, payload))
+        pos = end
+    if pos < len(text):
+        parts.append(unescape(text[pos:]))
+    return tuple(parts)

@@ -196,6 +196,57 @@ class TestStatusConditional:
         assert results["Create_Abstraction_View"] == 0
 
 
+    @staticmethod
+    def _flaky_manager():
+        """A manager whose ``bad`` tool always fails and ``ok`` succeeds."""
+        from repro.cad.registry import ToolRegistry, ToolResult
+        from repro.tdl.template import TemplateLibrary
+
+        registry = ToolRegistry()
+        registry.add("ok", lambda call: ToolResult(
+            outputs={n: "v" for n in call.output_names}))
+        registry.add("bad", lambda call: ToolResult(status=1, log="boom"))
+        clk = VirtualClock()
+        db = DesignDatabase(clock=clk)
+        db.put("seed", "S")
+        restarts: list[str] = []
+        tm = TaskManager(db, registry, TemplateLibrary(),
+                         cluster=Cluster.homogeneous(2, clock=clk), clock=clk,
+                         on_restart=lambda ex, spec: restarts.append(spec.name))
+        return tm, restarts
+
+    def test_failure_read_through_status_is_handled(self):
+        tm, restarts = self._flaky_manager()
+        tm.library.add_source("""
+task Handled {Seed} {Out}
+step Ok1 {Seed} {a} {ok}
+set first $status
+step Bad {a} {x} {bad}
+if {$status} {step Recover {a} {Out} {ok}} else {step Plain {a} {Out} {ok}}
+""")
+        rec = tm.run_task("Handled", inputs={"Seed": "seed@1"},
+                          outputs={"Out": "out"})
+        assert restarts == []
+        assert {s.name: s.status for s in rec.steps} == \
+            {"Ok1": 0, "Bad": 1, "Recover": 0}
+
+    def test_unread_failure_still_fails_the_task(self):
+        tm, restarts = self._flaky_manager()
+        # ``$status`` is read before the failing step only: that read must
+        # not count as handling the later failure.
+        tm.library.add_source("""
+task Unread {Seed} {Out}
+step Ok1 {Seed} {a} {ok}
+set first $status
+step Bad {a} {x} {bad}
+step Ok2 {a} {Out} {ok}
+""")
+        with pytest.raises(TaskAborted):
+            tm.run_task("Unread", inputs={"Seed": "seed@1"},
+                        outputs={"Out": "out"})
+        assert restarts and set(restarts) == {"Bad"}
+
+
 class TestProgrammableAbort:
     def test_resume_preserves_early_steps(self, env):
         tm, db, seed, _ = env

@@ -334,3 +334,205 @@ class TestListExtras:
 
     def test_lreverse(self, interp):
         assert interp.eval("lreverse {1 2 3}") == "3 2 1"
+
+
+class TestIndices:
+    def test_end_forms(self, interp):
+        assert interp.eval("lindex {a b c} end") == "c"
+        assert interp.eval("lindex {a b c} end-1") == "b"
+        assert interp.eval("lindex {a b c} end-5") == ""
+        assert interp.eval("lrange {a b c d} 1 end-1") == "b c"
+        assert interp.eval("lrange {a b c d} end-1 end") == "c d"
+        assert interp.eval("lrange {a b c} 2 1") == ""
+        assert interp.eval("linsert {a b c} end-1 X") == "a b X c"
+        assert interp.eval("lreplace {a b c d} end-1 end X") == "a b X"
+        assert interp.eval("string index abcd end") == "d"
+        assert interp.eval("string index abcd end-3") == "a"
+        assert interp.eval("string range abcdef 1 end-1") == "bcde"
+        assert interp.eval("string range abcdef end-2 end") == "def"
+
+    @pytest.mark.parametrize("script", [
+        "lindex {a b} x",
+        "lrange {a b} 0 endx",
+        "linsert {a b} one X",
+        "lreplace {a b} end-x end",
+        "string index abc two",
+        "string range abc 0 e",
+        "incr n x",
+        "set n abc; incr n",
+    ])
+    def test_bad_integers_raise_tdl_error(self, interp, script):
+        with pytest.raises(TdlError):
+            interp.eval(script)
+
+
+class TestBracedExpr:
+    def test_braced_substitutes_at_evaluation(self, interp):
+        interp.eval("set a 3; set b 4")
+        assert interp.eval("expr {$a + $b}") == "7"
+        interp.eval("set b 10")
+        assert interp.eval("expr {$a + $b}") == "13"
+
+    def test_for_loop_with_braced_expr(self, interp):
+        interp.eval("""
+            set total 0
+            for {set i 0} {$i < 10} {incr i} {
+                set total [expr {$total + $i * $i}]
+            }
+        """)
+        assert interp.get_var("total") == "285"
+
+    def test_command_inside_braced_expr(self, interp):
+        interp.eval("set xs {a b c d}")
+        assert interp.eval("expr {[llength $xs] * 2}") == "8"
+        assert interp.eval("expr {[lindex $xs end] == \"d\"}") == "1"
+
+    def test_value_is_one_operand(self, interp):
+        interp.eval("set x {1 + 2}")
+        with pytest.raises(TdlError):
+            interp.eval("expr {$x * 2}")
+        # Unbraced, the value is spliced into the text first (as in Tcl).
+        assert interp.eval("expr $x * 2") == "5"
+
+    def test_arguments_concatenate_then_substitute(self, interp):
+        interp.eval("set a 5")
+        assert interp.eval("expr {$a} + 1") == "6"
+
+    def test_string_equality_in_if(self, interp):
+        interp.eval('set name {hello world}')
+        assert interp.eval(
+            'if {$name == "hello world"} {set r yes} else {set r no}'
+        ) == "yes"
+        assert interp.eval('if {$name != "hello world"} {set r 1} '
+                           'else {set r 0}') == "0"
+
+    def test_logical_operators_short_circuit(self, interp):
+        interp.eval("set hits 0")
+        interp.eval("expr {0 && [incr hits]}")
+        interp.eval("expr {1 || [incr hits]}")
+        assert interp.get_var("hits") == "0"
+        assert interp.eval("expr {1 && [incr hits]}") == "1"
+        assert interp.get_var("hits") == "1"
+
+    def test_constant_error_raises_only_when_reached(self, interp):
+        assert interp.eval("expr {0 && 1 / 0}") == "0"
+        with pytest.raises(TdlError):
+            interp.eval("expr {1 && 1 / 0}")
+
+    def test_substitution_needs_an_interpreter(self):
+        with pytest.raises(TdlError):
+            evaluate("$a + 1")
+
+    _names = st.sampled_from(["a", "b", "c"])
+
+    @staticmethod
+    def _expressions(names):
+        leaves = st.one_of(
+            st.integers(0, 50).map(lambda n: (str(n), n)),
+            names.map(lambda v: ("$" + v, v)),
+        )
+        ops = st.sampled_from(["+", "-", "*", "<", "==", "&&", "||"])
+
+        def combine(children):
+            return st.tuples(children, ops, children).map(
+                lambda t: (f"({t[0][0]} {t[1]} {t[2][0]})",
+                           (t[1], t[0][1], t[2][1])))
+
+        return st.recursive(leaves, combine, max_leaves=8)
+
+    @staticmethod
+    def _reference(tree, env):
+        if isinstance(tree, int):
+            return tree
+        if isinstance(tree, str):
+            return env[tree]
+        op, left, right = tree
+        lv = TestBracedExpr._reference(left, env)
+        rv = TestBracedExpr._reference(right, env)
+        return {"+": lambda: lv + rv, "-": lambda: lv - rv,
+                "*": lambda: lv * rv, "<": lambda: int(lv < rv),
+                "==": lambda: int(lv == rv),
+                "&&": lambda: int(bool(lv) and bool(rv)),
+                "||": lambda: int(bool(lv) or bool(rv))}[op]()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_cold_warm_and_reference_agree(self, data):
+        expression, tree = data.draw(self._expressions(self._names))
+        interp = Interp()
+        for _ in range(3):
+            env = {name: data.draw(st.integers(-20, 20)) for name in "abc"}
+            for name, value in env.items():
+                interp.set_var(name, str(value))
+            expected = str(self._reference(tree, env))
+            cold = Interp()
+            for name, value in env.items():
+                cold.set_var(name, str(value))
+            assert cold.eval(f"expr {{{expression}}}") == expected
+            # ``interp`` keeps its cache across draws: warm after the first.
+            assert interp.eval(f"expr {{{expression}}}") == expected
+            assert interp.eval(
+                f"if {{{expression}}} {{set r 1}} else {{set r 0}}"
+            ) == str(int(expected != "0"))
+
+
+class TestCompileCache:
+    def test_parse_work_bounded_by_distinct_texts(self, interp, monkeypatch):
+        from repro.tdl import interp as interp_module
+
+        calls = {"split_words": 0, "strip_comments_and_split": 0}
+
+        def counting(name):
+            original = getattr(interp_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(interp_module, name, wrapper)
+
+        counting("split_words")
+        counting("strip_comments_and_split")
+        interp.eval("""
+            proc step2 {x} { return [expr {$x * 2}] }
+            set total 0
+            set i 0
+            while {$i < 20000} {
+                set total [expr {$total + [step2 $i]}]
+                if {$i % 2 == 0} { incr total } else { incr total -1 }
+                incr i
+            }
+        """)
+        assert interp.get_var("total") == str(2 * sum(range(20000)))
+        # One split per distinct script text and one word split per
+        # distinct command -- a few dozen, independent of the 20k passes.
+        assert calls["strip_comments_and_split"] <= 10
+        assert calls["split_words"] <= 30
+
+    def test_caches_are_per_interpreter(self):
+        first, second = Interp(), Interp()
+        first.eval("set a 1; while {$a < 3} {incr a}")
+        assert first._scripts and first._exprs
+        assert not second._scripts and not second._exprs
+
+    def test_value_texts_do_not_grow_the_cache(self, interp):
+        interp.eval("""
+            set acc 0
+            for {set i 0} {$i < 3000} {incr i} {
+                set acc [expr $acc + $i]
+            }
+        """)
+        assert interp.get_var("acc") == str(sum(range(3000)))
+        from repro.tdl.interp import _CACHE_SIZE
+
+        assert len(interp._exprs) <= _CACHE_SIZE
+        assert len(interp._scripts) <= _CACHE_SIZE
+
+    def test_malformed_command_raises_when_reached(self, interp):
+        with pytest.raises(TdlError):
+            interp.eval("set x 1; set y [unclosed")
+        # Commands before the malformed one ran, as before compilation.
+        assert interp.get_var("x") == "1"
+        for _ in range(2):
+            with pytest.raises(TdlError):
+                interp.eval("set y [unclosed")
