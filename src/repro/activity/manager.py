@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.activity.access import HourIndex
-from repro.activity.viewport import Viewport, grid_layout
+from repro.activity.viewport import GridLayout, Viewport, grid_layout
 from repro.core.history import HistoryRecord
 from repro.core.thread import DesignThread
 from repro.errors import ObjectNotFound, TaskAborted
@@ -44,6 +44,8 @@ class ActivityManager:
         #: ("facility" tasks such as printing, §5.4).
         self.filters: set[str] = set()
         self.viewport = Viewport()
+        #: Placement state of the thread's history, extended by each commit.
+        self.layout = GridLayout()
         self.hour_index = HourIndex()
         #: In-flight invocation paths: maps a PendingInvocation to the tip of
         #: its logical path, advanced as its records commit.
@@ -154,7 +156,7 @@ class ActivityManager:
         return point
 
     def _grid_coords(self, point: int):
-        return grid_layout(self.thread.stream)[point]
+        return grid_layout(self.thread.stream, into=self.layout)[point]
 
     # ------------------------------------------------------------ navigation
 

@@ -433,7 +433,8 @@ def _replay_entry(lwt: LWTSystem, store: ChunkStore,
             creator=source.obj.creator,
             size=0,
         )
-        chain.append(_Entry(obj=obj, last_access=entry["created_at"]))
+        chain.append(_Entry(obj=obj, last_access=entry["created_at"],
+                            digest=source.digest))
         db._note_alias(entry["name"], entry["source"])
     elif op == "db.delete":
         row = _parked_row(db, entry["name"])

@@ -3,7 +3,10 @@
 Two pieces survive the Tk-ectomy intact:
 
 * **grid layout** — each history record is assigned a square grid cell by a
-  topological, level-by-level placement;
+  topological, level-by-level placement.  Placement is insertion-stable: a
+  record's cell depends only on the records placed before it, so the
+  activity manager places each new record once, in O(1), instead of
+  re-laying out the whole history per commit;
 * **lazy pan/zoom compression** — the Tcl/Tk canvas of the era could not
   report item coordinates, so the activity manager tracked them itself and,
   to avoid retraversing every item per pan/zoom, *compressed* the pending
@@ -15,6 +18,7 @@ Two pieces survive the Tk-ectomy intact:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from repro.core.control_stream import INITIAL_POINT, ControlStream
@@ -152,43 +156,94 @@ class EagerViewport(Viewport):
 GRID = 16  # pixels per grid cell
 
 
-def grid_layout(stream: ControlStream) -> dict[int, Point]:
+class GridLayout(dict):
+    """Cells by design point (``point -> (x, y)`` pixels), plus the
+    placement state :func:`grid_layout` needs to extend them in place."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.stream: ControlStream | None = None
+        self.scope_epoch = -1
+        #: Every point numbered below this has been placed.
+        self.next_point = INITIAL_POINT
+        self.levels: dict[int, int] = {}
+        self.rows: dict[int, int] = {}
+        self.free_row: dict[int, int] = {}      # next free row per level
+        #: Work counters: full re-layouts, and cells placed in total.
+        self.rebuilds = 0
+        self.placed = 0
+
+    def _reset(self, stream: ControlStream) -> None:
+        self.clear()
+        self.levels.clear()
+        self.rows.clear()
+        self.free_row.clear()
+        self.stream = stream
+        self.scope_epoch = stream.scope_epoch
+        self.next_point = INITIAL_POINT
+        self.rebuilds += 1
+
+    def _place(self, point: int, parents: list[int]) -> None:
+        level = max((self.levels[p] + 1 for p in parents), default=0)
+        row = self.free_row.get(level, 0)
+        if parents:
+            row = max(row, self.rows[parents[0]])
+        self.levels[point] = level
+        self.rows[point] = row
+        self.free_row[level] = row + 1
+        self[point] = (level * GRID, row * GRID)
+        self.placed += 1
+
+    def _extend(self, stream: ControlStream) -> bool:
+        """Place the points created since the last call, in topological
+        order, smallest point first.  False if one of them has a parent
+        that is not placed (the layout must be rebuilt)."""
+        pending = {p for p in range(self.next_point, stream.next_point)
+                   if p in stream}
+        self.next_point = stream.next_point
+
+        def ready(point: int) -> bool:
+            return all(p in self.levels for p in stream.node(point).parents)
+
+        heap = [p for p in pending if ready(p)]
+        heapq.heapify(heap)
+        queued = set(heap)
+        while heap:
+            point = heapq.heappop(heap)
+            node = stream.node(point)
+            self._place(point, node.parents)
+            for child in node.children:
+                if child in pending and child not in queued and ready(child):
+                    queued.add(child)
+                    heapq.heappush(heap, child)
+        return len(queued) == len(pending)
+
+
+def grid_layout(stream: ControlStream,
+                into: GridLayout | None = None) -> GridLayout:
     """Topological level-by-level placement of history records.
 
-    Column = the record's level (longest distance from the root); row = a
-    greedy per-level slot assignment that keeps sibling branches apart.
+    Points are placed one at a time in topological order, smallest point
+    first (spliced records precede the children they adopt).  Column = the
+    record's level, 1 + the highest parent level; row = the larger of the
+    first parent's row and the next free row at that level, which keeps
+    sibling branches apart.
+
+    The placement is insertion-stable: with ``into``, a layout this
+    function returned earlier, only the points created since are placed,
+    and the result equals a fresh ``grid_layout(stream)``.  A structural
+    change that can move old records (a splice, erase or pruning: anything
+    that bumps ``stream.scope_epoch``), or a new point whose parent was
+    never placed, makes it rebuild the layout from scratch instead.
     """
-    levels: dict[int, int] = {INITIAL_POINT: 0}
-    for point in stream.points():
-        if point == INITIAL_POINT:
-            continue
-        node = stream.node(point)
-        levels[point] = 1 + max(
-            (levels.get(p, 0) for p in node.parents), default=0
-        )
-    rows: dict[int, int] = {}
-    used_per_level: dict[int, int] = {}
-
-    def place(point: int, preferred_row: int) -> int:
-        level = levels[point]
-        row = max(preferred_row, used_per_level.get(level, 0))
-        rows[point] = row
-        used_per_level[level] = row + 1
-        return row
-
-    # Iterative DFS: control streams can be thousands of records deep.
-    stack: list[tuple[int, int]] = [(INITIAL_POINT, 0)]
-    while stack:
-        point, preferred_row = stack.pop()
-        if point in rows:
-            continue
-        row = place(point, preferred_row)
-        for child in sorted(stream.node(point).children, reverse=True):
-            stack.append((child, row))
-    return {
-        point: (levels[point] * GRID, rows[point] * GRID)
-        for point in stream.points()
-    }
+    layout = into if into is not None else GridLayout()
+    if layout.stream is not stream or \
+            layout.scope_epoch != stream.scope_epoch:
+        layout._reset(stream)
+    if not layout._extend(stream):
+        layout._reset(stream)
+        layout._extend(stream)
+    return layout
 
 
 def render_stream(

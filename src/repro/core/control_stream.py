@@ -139,6 +139,12 @@ class ControlStream:
     def points(self) -> list[int]:
         return sorted(self._nodes)
 
+    @property
+    def next_point(self) -> int:
+        """The number the next new node will get: every point ever created
+        is below it, and a point created later is at or above it."""
+        return self._next
+
     def records(self) -> list[HistoryRecord]:
         return [n.record for n in self._nodes.values() if n.record is not None]
 

@@ -23,6 +23,13 @@ An entry is keyed by ``(tool, canonical options, input fingerprints)``:
   name-based fingerprints would break every chain after its first step;
   content hashes let a hit on step N feed a hit on step N+1.
 
+Digests are computed once per version, not once per key: versions are
+single-assignment, so :meth:`DesignDatabase.fingerprint` hashes a payload on
+its first use and keeps the digest with the version.  A hit's aliased
+outputs inherit their source's digest, so replaying a chain hashes nothing,
+and :meth:`DerivationCache.populate` reads the digests the lookups already
+computed.  Key cost thus tracks new payloads, not history length.
+
 Values carry the committed output versions (base + versioned name, in the
 step's output order) and the recorded cost, so a hit can alias the old
 payloads under fresh versions and report the simulated seconds it avoided.
@@ -61,7 +68,6 @@ from repro.octdb.naming import parse_name
 if TYPE_CHECKING:
     from repro.core.control_stream import ControlStream
     from repro.core.history import HistoryRecord
-    from repro.metadata.adg import AugmentedDerivationGraph
     from repro.octdb.database import DesignDatabase
 
 #: Placeholder prefix: cannot collide with user option tokens.
@@ -142,8 +148,8 @@ class MemoEntry:
     #: Recorded simulated cost of the original execution (seconds).
     cost: float = 0.0
     step: str = ""
-    #: ``HistoryRecord.instance`` of the committing record; None when the
-    #: entry was warmed from the ADG (no stream anchoring → db checks only).
+    #: ``HistoryRecord.instance`` of the committing record; None for an
+    #: entry with no stream anchor (only database liveness gates it).
     record_instance: int | None = None
 
 
@@ -185,13 +191,18 @@ class DerivationCache:
         tool: str,
         options: tuple[str, ...],
         input_names: tuple[str, ...],
-        input_payloads: tuple[Any, ...],
         output_bases: tuple[str, ...],
+        db: "DesignDatabase",
     ) -> MemoKey | None:
-        """The memo key for one dispatch-ready call (None if unhashable)."""
+        """The memo key for one call on the named input versions (None if an
+        input is gone or unhashable).
+
+        Digests come from :meth:`DesignDatabase.fingerprint`, which hashes
+        each version at most once.
+        """
         with PROFILER.section("memo.fingerprint"):
             try:
-                prints = tuple(fingerprint(p) for p in input_payloads)
+                prints = tuple(db.fingerprint(n) for n in input_names)
             except Exception:
                 return None
             return (tool,
@@ -295,15 +306,11 @@ class DerivationCache:
         for step in record.steps:
             if step.status != 0 or not step.outputs:
                 continue
-            try:
-                payloads = tuple(db.get(name).payload for name in step.inputs)
-            except Exception:
-                continue                     # inputs reclaimed: not cacheable
             output_bases = tuple(parse_name(n).base for n in step.outputs)
             key = self.key_for(step.tool, step.options, step.inputs,
-                               payloads, output_bases)
+                               output_bases, db)
             if key is None:
-                continue
+                continue                     # inputs reclaimed: not cacheable
             self.store(key, MemoEntry(
                 tool=step.tool,
                 outputs=tuple(zip(output_bases, step.outputs)),
@@ -315,36 +322,4 @@ class DerivationCache:
         if added and TRACER.enabled:
             TRACER.event("memo.populate", cat="memo", task=record.task,
                          entries=added)
-        return added
-
-    def warm_from_adg(self, adg: "AugmentedDerivationGraph",
-                      db: "DesignDatabase") -> int:
-        """Seed the cache from an augmented derivation graph.
-
-        The ADG stores one edge per output; edges sharing (tool, options,
-        inputs, step, time) are regrouped into their originating step so
-        multi-output steps hit as a unit.  Entries carry no record anchor
-        (the ADG is thread-independent), so only database liveness gates
-        their reuse.
-        """
-        grouped: dict[tuple, list[str]] = {}
-        for edge in adg.edges():
-            ident = (edge.tool, edge.options, edge.inputs, edge.step, edge.at)
-            grouped.setdefault(ident, []).append(edge.output)
-        added = 0
-        for (tool, options, inputs, step, _at), outputs in grouped.items():
-            try:
-                payloads = tuple(db.get(name).payload for name in inputs)
-            except Exception:
-                continue
-            output_bases = tuple(parse_name(n).base for n in outputs)
-            key = self.key_for(tool, options, inputs, payloads, output_bases)
-            if key is None:
-                continue
-            self.store(key, MemoEntry(
-                tool=tool,
-                outputs=tuple(zip(output_bases, tuple(outputs))),
-                step=step,
-            ))
-            added += 1
         return added

@@ -113,12 +113,7 @@ class AugmentedDerivationGraph:
         return self._producer.get(name)
 
     def edges(self) -> list[DerivationEdge]:
-        """Every derivation edge, in registration order (one per output).
-
-        The derivation cache's ``warm_from_adg`` regroups these into steps;
-        anything else that wants the flat tool-application list (exports,
-        statistics) can use it too.
-        """
+        """Every derivation edge, in registration order (one per output)."""
         return list(self._producer.values())
 
     def consumers(self, name: str) -> list[DerivationEdge]:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from repro.clock import GLOBAL_CLOCK, VirtualClock
+from repro.core import memo
 from repro.errors import ObjectNotFound, VersionConflict
 from repro.obs import METRICS, TRACER
 from repro.octdb.chunkstore import LazyPayload
@@ -65,6 +66,10 @@ class _Entry:
     deleted_at: float | None = None   # tombstone time; None = live
     last_access: float = 0.0
     pinned: bool = False              # protected from reclamation
+    #: Content fingerprint of the payload, computed on first use (see
+    #: :meth:`DesignDatabase.fingerprint`).  Versions are single-assignment,
+    #: so it never goes stale.
+    digest: str | None = None
 
 
 class DesignDatabase:
@@ -149,7 +154,8 @@ class DesignDatabase:
         removed at task commit) but must not be physically reclaimed.
         """
         oname = parse_name(name) if isinstance(name, str) else name
-        source = self._entry(existing).obj
+        source_entry = self._entry(existing)
+        source = source_entry.obj
         chain = self._versions.setdefault(oname.base, [])
         obj = VersionedObject(
             name=ObjectName(oname.base, len(chain) + 1),
@@ -158,7 +164,9 @@ class DesignDatabase:
             creator=source.creator,
             size=0,
         )
-        chain.append(_Entry(obj=obj, last_access=self.clock.now))
+        # Same payload object, same digest: a memo hit never re-hashes.
+        chain.append(_Entry(obj=obj, last_access=self.clock.now,
+                            digest=source_entry.digest))
         self._note_alias(str(obj.name), str(source.name))
         METRICS.counter("db.versions_aliased").inc()
         if TRACER.enabled:
@@ -222,11 +230,47 @@ class DesignDatabase:
         """
         entry = self._entry(name)
         entry.last_access = self.clock.now
+        self._materialize(entry)
+        return entry.obj
+
+    @staticmethod
+    def _materialize(entry: _Entry) -> None:
         if isinstance(entry.obj.payload, LazyPayload):
             entry.obj = dataclasses.replace(
                 entry.obj, payload=entry.obj.payload.materialize()
             )
-        return entry.obj
+
+    def fingerprint(self, name: str | ObjectName) -> str:
+        """Content fingerprint of one version's payload, computed once.
+
+        The digest is :func:`repro.core.memo.fingerprint` of the payload,
+        memoized on the version: a version never changes, so every later
+        memo key built from it reads the stored digest instead of
+        re-hashing.  An alias shares its source's payload, so it takes the
+        source's digest (hashing the oldest live version of the chain if
+        none has one yet); a lazily restored version hashes its
+        materialized payload.
+        """
+        entry = self._entry(name)
+        if entry.digest is not None:
+            return entry.digest
+        chain = [entry]
+        source = self._alias_sources.get(str(entry.obj.name))
+        while source is not None and chain[-1].digest is None:
+            try:
+                chain.append(self._entry(source))
+            except ObjectNotFound:
+                break                  # source reclaimed: hash the alias
+            source = self._alias_sources.get(source)
+        root = chain[-1]
+        if root.digest is None:
+            self._materialize(root)
+            # Looked up at call time so a wrapped ``fingerprint`` sees
+            # every digest actually computed.
+            root.digest = memo.fingerprint(root.obj.payload)
+        for member in chain:
+            member.digest = root.digest
+        return root.digest
 
     def exists(self, name: str | ObjectName) -> bool:
         try:

@@ -259,6 +259,27 @@ class TestViewport:
             for child in stream.node(point).children:
                 assert layout[child][0] > layout[point][0]
 
+    def test_grid_layout_levels_after_splice(self):
+        """Regression: a spliced record is numbered after the children it
+        adopts, so the layout must follow the DAG, not point numbers."""
+        from repro.core.control_stream import ControlStream
+        from repro.core.history import HistoryRecord
+
+        def rec(task):
+            return HistoryRecord(task=task, inputs=(), outputs=(), steps=())
+
+        stream = ControlStream()
+        a = stream.append(rec("a"), INITIAL_POINT)
+        b = stream.append(rec("b"), a)
+        s = stream.append_spliced(rec("s"), a)
+        layout = grid_layout(stream)
+        assert len(set(layout.values())) == len(layout)
+        # levels increase along parent chains
+        for point in stream.points():
+            for child in stream.node(point).children:
+                assert layout[child][0] > layout[point][0]
+        assert layout[a][0] < layout[s][0] < layout[b][0]
+
     def test_render_stream(self, env):
         am, lwt, seed, _ = env
         p = shifter_scenario(am)
