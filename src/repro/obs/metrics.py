@@ -7,8 +7,8 @@ outputs and the shell's ``stats`` command can print one view of the whole
 installation.
 
 Instruments are created lazily and cached: ``registry.counter("x", host="a")``
-always returns the same object for the same name + labels, so hot paths can
-either keep a reference or re-look-up cheaply (one dict probe).
+always returns the same object for the same name + labels.  Hot paths keep
+a :class:`LazyInstrument` instead of looking the instrument up per call.
 """
 
 from __future__ import annotations
@@ -375,7 +375,39 @@ class MetricsRegistry:
                 out[name] = metric.snapshot()
         return out
 
-    def clear(self) -> None:
-        """Forget every instrument (tests and fresh installations)."""
-        self._metrics.clear()
-        self._kinds.clear()
+
+class LazyInstrument:
+    """A registry instrument bound once and created on first use.
+
+    Hot paths bind their instruments at import, without creating them:
+    ``LazyInstrument(METRICS, Counter, "engine.wake_checks").get()``
+    registers the counter on the first call and returns the same object
+    afterwards.  A metric that is never touched stays absent from the
+    registry (health rules skip absent metrics), exactly as with a registry
+    lookup per call.  With ``label`` the handle holds one instrument per
+    value of that label: ``get(value)``.
+
+    Creation goes through the registry's internal lookup, not its public
+    ``counter``/``histogram`` methods, so callers that count public lookups
+    see the same calls whether or not a handle was bound earlier in the
+    process.  Registries never drop an instrument, so a kept one stays the
+    registered one.
+    """
+
+    __slots__ = ("_registry", "_cls", "_name", "_label", "_by_value")
+
+    def __init__(self, registry: MetricsRegistry, cls: type, name: str,
+                 label: str | None = None):
+        self._registry = registry
+        self._cls = cls
+        self._name = name
+        self._label = label
+        self._by_value: dict[Any, Any] = {}
+
+    def get(self, value: Any = None) -> Any:
+        metric = self._by_value.get(value)
+        if metric is None:
+            labels = {} if self._label is None else {self._label: value}
+            metric = self._by_value[value] = self._registry._get(
+                self._cls, self._name, labels)
+        return metric
