@@ -15,7 +15,23 @@ from repro.tdl.template import (
     parse_subtask_args,
     parse_template,
 )
-from repro.tdl.tokenizer import split_words, strip_comments_and_split
+from repro.tdl.tokenizer import (
+    _split_general,
+    _split_script,
+    split_words,
+    strip_comments_and_split,
+)
+
+#: Characters that matter to the tokenizer, plus plain letters.
+_TCL_TEXT = st.text(alphabet='{}"[]\\$ \t\nab', max_size=16)
+_TCL_SCRIPT = st.text(alphabet='{}"[]\\$ \t\n;#ab', max_size=24)
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except Exception as exc:        # the exception type is the outcome
+        return type(exc)
 
 
 @pytest.fixture
@@ -53,6 +69,26 @@ class TestTokenizer:
     def test_nested_braces(self):
         words = split_words("set b {xyz {b c d}}")
         assert words[2] == ("braced", "xyz {b c d}")
+
+    def test_flat_and_nested_braced_words(self):
+        assert split_words("step s1 {a b}\t{c} {x  -o {}}") == [
+            ("bare", "step"), ("bare", "s1"), ("braced", "a b"),
+            ("braced", "c"), ("braced", "x  -o {}")]
+        assert split_words("{a}{b} c") == [
+            ("braced", "a"), ("braced", "b"), ("bare", "c")]
+        assert split_words("{a}b a{b}") == [
+            ("braced", "a"), ("bare", "b"), ("bare", "a{b}")]
+
+    @settings(max_examples=2000, deadline=None)
+    @given(_TCL_TEXT)
+    def test_split_words_fast_path_matches_scan(self, text):
+        assert _outcome(split_words, text) == _outcome(_split_general, text)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(_TCL_SCRIPT)
+    def test_script_split_fast_path_matches_scan(self, script):
+        assert _outcome(strip_comments_and_split, script) == \
+            _outcome(_split_script, script)
 
 
 class TestListOps:
