@@ -103,6 +103,16 @@ class TestDatabase:
         db.undelete("cell@1")
         assert db.get("cell").payload == "a"
 
+    def test_discard_tombstones_only_what_exists(self, db):
+        db.put("cell", "a")
+        db.discard("cell@1")
+        assert db.is_deleted("cell@1")
+        tombstoned = db.stats()["tombstoned"]
+        db.discard("cell@1")            # already tombstoned
+        db.discard("cell@7")            # no such version
+        db.discard("nope")              # no such object
+        assert db.stats()["tombstoned"] == tombstoned == 1
+
     def test_reclaim_respects_grace_period(self, db, clock):
         db.put("cell", "a")
         db.delete("cell@1")
