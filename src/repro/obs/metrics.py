@@ -327,15 +327,9 @@ class MetricsRegistry:
             return self._get(Histogram, name, labels)
         return self._get(Histogram, name, labels, buckets=buckets)
 
-    def window(self, name: str, retention: float | None = None,
-               maxlen: int | None = None, **labels: Any) -> WindowedSeries:
+    def window(self, name: str, **labels: Any) -> WindowedSeries:
         """A ring-buffered windowed series (see :class:`WindowedSeries`)."""
-        kwargs: dict[str, Any] = {}
-        if retention is not None:
-            kwargs["retention"] = retention
-        if maxlen is not None:
-            kwargs["maxlen"] = maxlen
-        return self._get(WindowedSeries, name, labels, **kwargs)
+        return self._get(WindowedSeries, name, labels)
 
     # --------------------------------------------------------------- queries
 

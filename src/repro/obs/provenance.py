@@ -174,13 +174,8 @@ class AuditJournal:
     def __iter__(self):
         return iter(self._entries)
 
-    def entries(self, kind: str | None = None,
-                thread: str | None = None) -> list[AuditEntry]:
-        return [
-            e for e in self._entries
-            if (kind is None or e.kind == kind)
-            and (thread is None or e.thread == thread)
-        ]
+    def entries(self, kind: str | None = None) -> list[AuditEntry]:
+        return [e for e in self._entries if kind is None or e.kind == kind]
 
     def render(self, limit: int | None = None,
                kind: str | None = None) -> list[str]:

@@ -409,16 +409,20 @@ class TestConfigLoading:
 # ------------------------------------------------- monitor integration
 
 
-def run_stall(rules_path: str | None = SITE_RULESET,
-              work: float = 10.0) -> tuple[HealthMonitor, VirtualClock]:
+def run_stall(rules_path: str | None = SITE_RULESET, work: float = 10.0,
+              registry: MetricsRegistry | None = None,
+              ) -> tuple[HealthMonitor, VirtualClock]:
     """The deterministic induced-stall scenario (mirrors
     benchmarks.bench_scale.measure_stall): the cluster emits to the global
-    tracer, so that is what the monitor's gap signal must watch."""
+    tracer, so that is what the monitor's gap signal must watch.  With
+    ``registry`` the monitor reads that registry instead of the global one
+    (plus the cluster's own), so the result does not depend on what other
+    tests left in the process-wide metrics."""
     clock = VirtualClock()
     obs.TRACER.clear()
     obs.TRACER.enable(clock=clock)
-    monitor = (HealthMonitor.from_config(rules_path) if rules_path
-               else HealthMonitor())
+    monitor = (HealthMonitor.from_config(rules_path, registry=registry)
+               if rules_path else HealthMonitor(registry=registry))
     hosts = [
         Workstation("home"),
         Workstation("ws01", schedule=OwnerSchedule(period=4 * work,
